@@ -225,23 +225,33 @@ def tx_smoke_breakdown():
 
 # -- cProfile helper -----------------------------------------------------
 
-#: benchmark entry points runnable under ``--profile``; each is a
-#: zero-argument callable importing lazily so the profiler never
-#: charges module import time to the workload.
-PROFILE_TARGETS = {
-    "seqio": lambda: __import__("repro.bench.seqio", fromlist=["main"])
-    .main(["/dev/null"]),
-    "commitio": lambda: __import__("repro.bench.commitio", fromlist=["main"])
-    .main(["/dev/null"]),
-    "multiuser": lambda: __import__("repro.bench.multiuser", fromlist=["main"])
-    .main(["/dev/null"]),
-    "multishard": lambda: __import__(
-        "repro.bench.multishard", fromlist=["main"]).main(["/dev/null"]),
-    "cachedio": lambda: __import__("repro.bench.cachedio", fromlist=["main"])
-    .main(["/dev/null"]),
-    "hotpath": lambda: __import__("repro.bench.hotpath", fromlist=["main"])
-    .main(["/dev/null", "--smoke"]),
+#: every artifact-writing bench module (``python -m repro.bench.<name>
+#: OUT.json``), with the extra arguments that keep a profiled run short.
+BENCH_MODULES: dict[str, tuple[str, ...]] = {
+    "seqio": (),
+    "commitio": (),
+    "multiuser": (),
+    "multishard": (),
+    "cachedio": (),
+    "hotpath": ("--smoke",),
+    "replication": (),
+    "vfsio": (),
 }
+
+
+def _bench_main(name: str, extra: tuple[str, ...]):
+    def run():
+        # Imported lazily so the profiler never charges module import
+        # time to the workload.
+        module = __import__(f"repro.bench.{name}", fromlist=["main"])
+        return module.main(["/dev/null", *extra])
+    return run
+
+
+#: benchmark entry points runnable under ``--profile``: one zero-argument
+#: callable per :data:`BENCH_MODULES` entry.
+PROFILE_TARGETS = {name: _bench_main(name, extra)
+                   for name, extra in BENCH_MODULES.items()}
 
 
 def profile_bench(name: str, sort: str = "cumulative", limit: int = 40,

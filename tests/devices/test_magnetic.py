@@ -186,3 +186,30 @@ def test_drop_relation_removes_backing_file(tmp_path):
     assert os.path.exists(os.path.join(path, "r.rel"))
     dev.drop_relation("r")
     assert not os.path.exists(os.path.join(path, "r.rel"))
+
+
+def test_open_handles_stay_bounded(tmp_path):
+    """Twice as many relations as the handle cap: every page still
+    round-trips, and the least recently used handles are closed."""
+    from repro.devices.magnetic import MAX_OPEN_FILES
+
+    path = str(tmp_path / "m0")
+    names = [f"r{i}" for i in range(2 * MAX_OPEN_FILES)]
+    dev = MagneticDisk("m0", SimClock(), path)
+    for i, name in enumerate(names):
+        dev.create_relation(name)
+        dev.write_page(name, dev.extend(name), page_of(i % 251))
+        assert len(dev._files) <= MAX_OPEN_FILES
+    for i, name in enumerate(names):
+        assert dev.read_page(name, 0) == page_of(i % 251)
+        assert len(dev._files) <= MAX_OPEN_FILES
+    dev.simulate_crash()
+    dev = MagneticDisk("m0", SimClock(), path)
+    for i, name in enumerate(names):
+        assert dev.read_page(name, 0) == page_of(i % 251)
+        dev.write_page(name, 0, page_of((i + 1) % 251))
+        assert len(dev._files) <= MAX_OPEN_FILES
+    dev.close()
+    dev = MagneticDisk("m0", SimClock(), path)
+    assert [dev.read_page(n, 0) for n in names] == \
+        [page_of((i + 1) % 251) for i in range(len(names))]
