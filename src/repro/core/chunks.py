@@ -444,25 +444,29 @@ class ChunkStore:
         self.table.lock_exclusive(tx)
         snapshot = self.db.snapshot(tx)
         src = src_store
-        pairs: list[tuple] = []
+        heap = src.table.heap
+        # Only each row's (chunkno, selfid) prefix and xmin are read: a
+        # literal chunk is pointed at, so its payload is never decoded.
         if src._indexed:
-            pairs = list(src.table.index_range_newest(
-                ("chunkno",), (src_lo,), (src_hi,), snapshot, tx))
+            found = src.table.index_range_newest(
+                ("chunkno",), (src_lo,), (src_hi,), snapshot, tx,
+                prefix=True)
         else:
-            seen: dict[int, tuple] = {}
+            seen: dict[int, TID] = {}
             for tid, row in src.table.scan(snapshot, tx):
                 if src_lo <= row[0] <= src_hi:
-                    seen.setdefault(row[0], (tid, row))
-            pairs = [seen[c] for c in sorted(seen)]
+                    seen.setdefault(row[0], tid)
+            found = [(tid, heap.fetch_prefix(tid, snapshot))
+                     for _chunkno, tid in sorted(seen.items())]
         batch: list[tuple] = []
-        for tid, row in pairs:
-            dst_chunkno = row[0] - src_lo + dst_lo
-            if row[1] < 0:
-                batch.append((dst_chunkno, row[1], row[2]))
+        for tid, (xmin, (chunkno, selfid)) in found:
+            dst_chunkno = chunkno - src_lo + dst_lo
+            if selfid < 0:
+                batch.append((dst_chunkno, selfid,
+                              heap.fetch(tid, snapshot)[2]))
             else:
-                xmin = src.table.heap.fetch_raw(tid)[0]
                 batch.append((dst_chunkno, -src.fileid,
-                              encode_ref(src.fileid, row[0], xmin)))
+                              encode_ref(src.fileid, chunkno, xmin)))
         if not batch:
             return 0
         batch.sort(key=lambda r: r[0])

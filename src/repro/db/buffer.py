@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Collection
 
 from repro.db.page import Page
 from repro.devices.switch import DeviceSwitch
@@ -460,18 +461,25 @@ class BufferCache:
 
     # -- invalidation -----------------------------------------------------------
 
-    def invalidate_all(self, write_dirty: bool = True) -> None:
+    def invalidate_all(self, write_dirty: bool = True,
+                       keep: Collection[tuple[str, str]] = ()) -> None:
         """Drop every frame.  With ``write_dirty=False`` this models a
         crash (buffer contents lost); with True it is the benchmark's
-        'all caches were flushed before each test'."""
+        'all caches were flushed before each test', and the (device,
+        relation) pairs in ``keep`` stay resident, written back."""
         if write_dirty:
             self.flush_all()
+        kept = [(key, frame) for key, frame in self._frames.items()
+                if key[:2] in keep] if write_dirty and keep else []
         self._frames.clear()
         self._rel_keys.clear()
         self._dirty_keys.clear()
         self._last.clear()
         self._streaks.clear()
         self.descent_hints.clear()
+        for key, frame in kept:
+            self._frames[key] = frame
+            self._rel_keys.setdefault(key[:2], set()).add(key[2])
 
     def drop_relation(self, dev_name: str, relname: str) -> None:
         """Discard frames of a dropped relation without writeback."""

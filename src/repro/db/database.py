@@ -457,8 +457,12 @@ class Database:
     def flush_caches(self) -> None:
         """Write back and drop every cached page, and forget disk head
         positions — the benchmark's 'all caches were flushed before
-        each test'."""
-        self.buffers.invalidate_all(write_dirty=True)
+        each test'.  The system catalog indexes stay resident, as a
+        POSTGRES backend's catalog caches outlive a flush of file
+        pages: a cold table lookup reads the catalog heap pages, the
+        pages the catalog scans read before the catalogs were indexed."""
+        self.buffers.invalidate_all(write_dirty=True,
+                                    keep=self.catalog.index_relations())
         if self.tm is not None:
             self.tm.flush_commits()
         for dev in self.switch:

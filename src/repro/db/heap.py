@@ -205,6 +205,22 @@ class HeapFile:
             self.cpu.tuple_unpack()
         return self.schema.unpack(record, TUPLE_HEADER_SIZE)
 
+    def fetch_prefix(self, tid: TID, snapshot: Snapshot
+                     ) -> tuple[int, tuple] | None:
+        """``(xmin, leading fixed-width columns)`` of the record at
+        ``tid`` if visible under ``snapshot``.  The columns are read in
+        place, as the visibility check reads the header, so this is no
+        deserialization and charges none: it is the projection for
+        callers that only point at a record's payload."""
+        page = self._page(tid.pageno)
+        if tid.slot >= page.nslots:
+            return None
+        record = page.record_view(tid.slot)
+        xmin, xmax = unpack_header(record)
+        if not snapshot.is_visible(xmin, xmax):
+            return None
+        return xmin, self.schema.unpack_prefix(record, TUPLE_HEADER_SIZE)
+
     def fetch_raw(self, tid: TID) -> tuple[int, int, tuple]:
         """(xmin, xmax, values) regardless of visibility — vacuum and
         tests use this."""

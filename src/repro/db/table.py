@@ -227,7 +227,8 @@ class Table:
     def index_range_newest(self, keycols: Sequence[str],
                            lo: Sequence[object] | None,
                            hi: Sequence[object] | None,
-                           snapshot: Snapshot, tx: Transaction | None = None
+                           snapshot: Snapshot, tx: Transaction | None = None,
+                           prefix: bool = False
                            ) -> Iterator[tuple[TID, tuple]]:
         """For every distinct user key in [lo, hi], the one row
         :meth:`index_eq` on that key would yield *first* — the newest
@@ -237,7 +238,9 @@ class Table:
 
         This is the sequential-read fast path: an N-chunk file read
         costs one index descent (two after a vacuum, for the archive
-        index) rather than N."""
+        index) rather than N.  With ``prefix`` each row is
+        :meth:`HeapFile.fetch_prefix`'s ``(xmin, leading fixed-width
+        columns)`` instead of the whole record."""
         found = self._find_index(keycols)
         if found is None:
             raise TableError(
@@ -264,10 +267,11 @@ class Table:
         # below is one contiguous transfer per run, not a page apiece.
         if live:
             self.heap.prefetch_pages(tids[-1].pageno for tids in live.values())
+        fetch = HeapFile.fetch_prefix if prefix else HeapFile.fetch
         for ukey in sorted(set(live) | set(archived)):
             emitted = False
             for tid in reversed(live.get(ukey, ())):
-                row = self.heap.fetch(tid, snapshot)
+                row = fetch(self.heap, tid, snapshot)
                 if row is not None:
                     yield tid, row
                     emitted = True
@@ -275,7 +279,7 @@ class Table:
             if emitted or archive_heap is None:
                 continue
             for tid in archived.get(ukey, ()):
-                row = archive_heap.fetch(tid, snapshot)
+                row = fetch(archive_heap, tid, snapshot)
                 if row is not None:
                     yield tid, row
                     break

@@ -208,6 +208,15 @@ class Schema:
                 values.append(raw.decode("utf-8") if kind == "t" else raw)
         return tuple(values)
 
+    def unpack_prefix(self, data, offset: int = 0) -> tuple:
+        """The leading run of fixed-width columns of one row, read in
+        place: no variable-length column is touched or copied."""
+        if not self._plan or self._plan[0][0] != "f":
+            return ()
+        _, s, cols = self._plan[0]
+        return tuple(bool(v) if is_bool else v
+                     for (_i, is_bool), v in zip(cols, s.unpack_from(data, offset)))
+
     def to_dict(self) -> list[dict[str, str]]:
         """JSON-friendly description (for catalog storage)."""
         return [{"name": c.name, "typ": c.typ} for c in self.columns]

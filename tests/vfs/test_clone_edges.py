@@ -163,3 +163,34 @@ def test_reflink_then_overwrite_matches_model(tmp_path_factory, ops):
         assert report.clean, report.corruptions
     finally:
         db.close()
+
+
+def test_clone_reads_only_the_prefix_of_literal_rows(fs, client,
+                                                     monkeypatch):
+    """A clone points at a literal chunk without decoding its payload,
+    so it charges no ``tuple_unpack`` for it; a reference row's
+    payload is copied, so it is fetched whole."""
+    n = 16
+    data = payload(9, "prefix", n * CHUNK_SIZE)
+    tx = fs.begin()
+    fs.write_file(tx, "/src", data)
+    fs.commit(tx)
+    client.p_close(client.p_creat("/a"))
+    client.p_close(client.p_creat("/b"))
+    unpacked = []
+    charge = fs.db.cpu.tuple_unpack
+    monkeypatch.setattr(fs.db.cpu, "tuple_unpack",
+                        lambda count=1: unpacked.append(count) or charge(count))
+    for src_path, dst_path, expected in (("/src", "/a", 0), ("/a", "/b", n)):
+        tx = fs.begin()
+        src = ChunkStore(fs.db, _fileid(fs, src_path), tx)
+        dst = ChunkStore(fs.db, _fileid(fs, dst_path), tx)
+        unpacked.clear()
+        assert dst.clone_range(tx, src, 0, n - 1) == n
+        assert sum(unpacked) == expected
+        fs.commit(tx)
+    tx = fs.begin()
+    clone = ChunkStore(fs.db, _fileid(fs, "/b"), tx)
+    chunks = clone.read_range(0, n - 1, fs.db.snapshot(tx), tx)
+    assert b"".join(chunks[c] for c in range(n)) == data
+    fs.commit(tx)
