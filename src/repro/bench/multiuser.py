@@ -48,7 +48,7 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
-from repro.sched import Apply, MultiUserScheduler, Txn
+from repro.sched import ClientOp, MultiUserScheduler, Txn
 
 #: client counts swept by the scaling curve.
 CLIENT_COUNTS = (1, 2, 4, 8)
@@ -86,9 +86,9 @@ def _payload(tag: str, size: int) -> bytes:
 
 def _write_op(path: str, tag: str, size: int):
     data = _payload(tag, size)
-    return Apply(f"write {path}",
-                 lambda fs, tx, path=path, data=data:
-                 fs.write_file(tx, path, data))
+    return ClientOp(f"write {path}",
+                    lambda c, path=path, data=data:
+                    c.fs.write_file(c.tx, path, data))
 
 
 def _client_program(client: int, hot: bool) -> list[Txn]:

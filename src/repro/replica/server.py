@@ -275,6 +275,12 @@ class ReplicaServer(InversionServer):
         if self.feed is not None:
             self.sync()
             self.feed = None
+        # Export the feed first: the renames below rewrite this
+        # database, and followers must receive them too or they keep
+        # the pre-swap relations.
+        feed = PrimaryFeed.attach(self.db, stats=self.stats,
+                                  base_seq=self._retain_base,
+                                  log=list(self._retained))
         # Complete any vacuum relation swap the shipped journal left
         # half-done — the same replay Database.open performs.
         from repro.db.vacuum import replay_rename_journal
@@ -284,9 +290,7 @@ class ReplicaServer(InversionServer):
             self._post_apply()
         self.read_only = False
         self.stats.promotions += 1
-        return PrimaryFeed.attach(self.db, stats=self.stats,
-                                  base_seq=self._retain_base,
-                                  log=list(self._retained))
+        return feed
 
     # -- lifecycle --------------------------------------------------------
 

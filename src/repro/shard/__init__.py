@@ -4,7 +4,7 @@ that cross shards.  See :mod:`repro.shard.router` for the partitioning
 rule, :mod:`repro.shard.cluster` for the cluster lifecycle and the
 coordinator decision log, :mod:`repro.shard.twophase` for the commit
 protocol, :mod:`repro.shard.client` for the application surface, and
-:mod:`repro.shard.sched` for the deterministic cluster scheduler."""
+:mod:`repro.shard.sched` for the deterministic scheduler over a cluster."""
 
 from repro.shard.client import ShardedInversionClient
 from repro.shard.cluster import DECISION_TAG, ShardedCluster, ShardStats
@@ -15,16 +15,14 @@ from repro.shard.router import (
     SubtreePartitionPolicy,
     top_component,
 )
-from repro.shard.sched import ClientOp, ShardedScheduler, ShardSession
+from repro.shard.sched import ShardedScheduler
 from repro.shard.twophase import TwoPhaseCoordinator
 
 __all__ = [
-    "ClientOp",
     "DECISION_TAG",
     "HashPartitionPolicy",
     "ShardRouteError",
     "ShardRouter",
-    "ShardSession",
     "ShardStats",
     "ShardedCluster",
     "ShardedInversionClient",

@@ -1,526 +1,27 @@
-"""The deterministic scheduler, stretched across shards.
+"""The deterministic scheduler over a sharded cluster.
 
-:class:`ShardedScheduler` drives N :class:`ShardedInversionClient`
-sessions against one :class:`~repro.shard.cluster.ShardedCluster` on a
-single thread, the way :class:`~repro.sched.scheduler.MultiUserScheduler`
-drives them against one server.  Programs are the same
-:class:`~repro.sched.scheduler.Call` / :class:`~repro.sched.scheduler.Txn`
-items (methods go through the sharded client, so routing, enlistment
-and 2PC are exercised exactly as an application would), plus
-:class:`ClientOp` — an arbitrary ``fn(client)`` run in **one slice**,
-the probe primitive the atomicity tests use to observe two paths at a
-single instant of the interleaving.
-
-Each shard keeps its own simulated clock, so the cluster is really N
-event loops multiplexed under one seed:
-
-- every session has a **home shard** whose clock stamps its fairness
-  bookkeeping, backoff timers and trace events;
-- the picker first honors the starvation guard (overdue on the home
-  clock), then picks the ready shard whose clock is furthest behind —
-  the laggiest timeline runs next, which keeps the shards advancing
-  together and makes the interleaving a pure function of (seed,
-  programs);
-- lock waits park per shard: each shard's
-  :class:`~repro.db.locks.LockManager` gets its own wait strategy, and
-  a parked session's deadline is measured on *that shard's* clock.
-  Cross-shard deadlocks never appear in any single shard's waits-for
-  graph, so they resolve by lock timeout — the timeout path here is
-  load-bearing, not a safety net.
-
-Admission control stays a single-server concern
-(:class:`~repro.sched.scheduler.MultiUserScheduler`); the sharded
-scheduler admits every session immediately.  Tracer span stacks are
-not swapped per slice — run cluster workloads with tracing off.
+:class:`ShardedScheduler` is :class:`~repro.sched.scheduler.Scheduler`
+over a :class:`~repro.shard.cluster.ShardedCluster`: one shard database
+(and simulated clock) per shard, one
+:class:`~repro.shard.client.ShardedInversionClient` per session (so
+routing, enlistment and 2PC are exercised exactly as an application
+would), sessions homed by the router, every session admitted
+immediately, and no commit gate.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
-
-from repro.errors import (DeadlockError, LockTimeoutError,
-                          SchedStalledError, SessionFailedError)
-from repro.sched.scheduler import (
-    DONE, FAILED, METRICS, PARKED, READY, RUNNING, SLEEPING,
-    Call, Ref, SchedStats, Txn,
-)
+from repro.sched.scheduler import Scheduler
 
 
-class ClientOp:
-    """A direct cluster-client operation ``fn(client)`` run in one
-    scheduler slice.  Because the whole function executes without the
-    scheduler switching sessions (unless it blocks on a lock), a
-    ClientOp that reads two paths sees them at one instant of the
-    interleaving — the observation primitive the cross-shard atomicity
-    tests are built on.  Valid at top level or inside a :class:`Txn`
-    (where ``fn`` runs under the session's open cluster transaction)."""
-
-    __slots__ = ("_label", "fn")
-
-    def __init__(self, label: str, fn) -> None:
-        self._label = label
-        self.fn = fn
-
-    @property
-    def label(self) -> str:
-        return self._label
-
-    def __repr__(self) -> str:
-        return f"ClientOp({self._label!r})"
-
-
-class _Unit:
-    """One compiled program item (a Txn block or a lone Call/ClientOp)."""
-
-    __slots__ = ("txn", "items", "ordinals", "attempt")
-
-    def __init__(self, txn, items, ordinals) -> None:
-        self.txn = txn
-        self.items = items
-        self.ordinals = ordinals
-        self.attempt = 0
-
-
-class ShardSession:
-    """One cluster client session and its scheduling bookkeeping.  All
-    times are on the session's home-shard clock."""
-
-    def __init__(self, sid: int, name: str, units: list[_Unit],
-                 client, home: int, submitted_at: float) -> None:
-        self.sid = sid
-        self.name = name
-        self.units = units
-        self.client = client
-        self.home = home
-        self.state = READY
-        self.unit_idx = 0
-        self.phase = -1
-        self.values: dict[int, object] = {}
-        self.wake_time = 0.0
-        self.ready_since = submitted_at
-        self.error: str | None = None
-        self.slices = 0
-        self.retries = 0
-        self.park_seconds = 0.0
-        self.max_park = 0.0
-        self.max_ready_wait = 0.0
-
-    @property
-    def finished(self) -> bool:
-        return self.state in (DONE, FAILED)
-
-    def report_row(self) -> dict:
-        return {
-            "name": self.name,
-            "home": self.home,
-            "state": self.state,
-            "slices": self.slices,
-            "retries": self.retries,
-            "lock_park_s": self.park_seconds,
-            "max_park_s": self.max_park,
-            "max_ready_wait_s": self.max_ready_wait,
-            "error": self.error,
-        }
-
-
-class _ShardWaitStrategy:
-    """One shard's lock-manager wait path under the sharded scheduler:
-    park the waiting session, run the rest of the cluster, measure the
-    timeout on this shard's clock."""
-
-    def __init__(self, sched: "ShardedScheduler", shard: int) -> None:
-        self.sched = sched
-        self.shard = shard
-
-    def suspended_xids(self) -> set:
-        """Local xids of sessions parked beneath the current one on the
-        scheduler's call stack (stack-suspended waiters must not block
-        the requester's FIFO position — see the single-server wait
-        strategy)."""
-        out = set()
-        for session in self.sched._running[:-1]:
-            xid = session.client.xid_on(self.shard)
-            if xid is not None:
-                out.add(xid)
-        return out
-
-    def start(self, lm, xid: int, resource, mode: str) -> dict:
-        sched = self.sched
-        now = sched.cluster.clock(self.shard).now()
-        session = sched._running[-1] if sched._running else None
-        if session is not None:
-            session.state = PARKED
-            sched.stats.lock_parks += 1
-            sched._event("park", session, f"{mode} {resource!r}")
-        return {"start": now, "deadline": now + lm.timeout_s,
-                "session": session}
-
-    def wait_round(self, lm, ctx: dict) -> bool:
-        sched = self.sched
-        clock = sched.cluster.clock(self.shard)
-        if clock.now() >= ctx["deadline"]:
-            return False
-        acct = sched.cluster.dbs[self.shard].obs.tx
-        waiter_xid = acct.current_xid()
-        lm._cond.release()
-        try:
-            sched._step_while_parked(self.shard, ctx["deadline"])
-        finally:
-            acct.activate(waiter_xid)
-            lm._cond.acquire()
-        return clock.now() < ctx["deadline"]
-
-    def finish(self, lm, ctx: dict, xid: int) -> float:
-        sched = self.sched
-        elapsed = sched.cluster.clock(self.shard).now() - ctx["start"]
-        session = ctx["session"]
-        if session is not None:
-            session.state = RUNNING
-            session.park_seconds += elapsed
-            if elapsed > session.max_park:
-                session.max_park = elapsed
-            sched._event("unpark", session, f"{elapsed:.6f}")
-        return elapsed
-
-
-class ShardedScheduler:
+class ShardedScheduler(Scheduler):
     """Seeded cooperative event loop over N sessions of one cluster."""
 
     def __init__(self, cluster, seed: int = 0, wait_quantum: float = 1e-4,
                  backoff_base: float = 0.005, backoff_cap: float = 0.08,
                  max_retries: int = 10, fairness_bound: float = 0.5) -> None:
-        self.cluster = cluster
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.wait_quantum = wait_quantum
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_retries = max_retries
-        self.fairness_bound = fairness_bound
-        self.stats = SchedStats()
-        self.sessions: list[ShardSession] = []
-        #: call stack of sessions currently inside a slice.
-        self._running: list[ShardSession] = []
-        self._last_ran: ShardSession | None = None
-        #: deterministic event trace:
-        #: (home_time, home_shard, kind, session, detail).
-        self.trace: list[tuple] = []
-        #: hook called as fn(session, tag) right after a Txn's cluster
-        #: commit returns (the sharded crash testkit's oracle seam).
-        self.commit_hook = None
-        self._closed = False
-        self._old_wait_strategies = []
-        for shard, db in enumerate(cluster.dbs):
-            self._old_wait_strategies.append(db.locks.wait_strategy)
-            db.locks.wait_strategy = _ShardWaitStrategy(self, shard)
-        self._bind_metrics()
-
-    # -- wiring ----------------------------------------------------------
-
-    def _bind_metrics(self) -> None:
-        stats = self.stats
-        for db in self.cluster.dbs:
-            for spec in METRICS:
-                attr = spec.name.rsplit(".", 1)[-1]
-                db.obs.metrics.register(spec).mirror(
-                    lambda s=stats, a=attr: getattr(s, a))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for db, old in zip(self.cluster.dbs, self._old_wait_strategies):
-            db.locks.wait_strategy = old
-        for session in self.sessions:
-            session.client.close()
-
-    def __enter__(self) -> "ShardedScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- sessions --------------------------------------------------------
-
-    def add_session(self, program, name: str | None = None,
-                    home: int | None = None) -> ShardSession:
-        """Submit a session program.  ``home`` names the shard whose
-        clock stamps the session's scheduling bookkeeping; by default
-        it is routed from the first absolute path in the program (a
-        session that works one subtree is homed where its data
-        lives)."""
-        sid = len(self.sessions)
-        units = self._compile(program)
-        if home is None:
-            home = self._infer_home(program)
-        session = ShardSession(sid, name or f"s{sid}", units,
-                               self.cluster.client(), home,
-                               self.cluster.clock(home).now())
-        self.sessions.append(session)
-        self._event("admit", session, f"home={home}")
-        return session
-
-    def _infer_home(self, program) -> int:
-        for item in program:
-            items = item.items if isinstance(item, Txn) else [item]
-            for sub in items:
-                if isinstance(sub, Call):
-                    for arg in sub.args:
-                        if isinstance(arg, str) and arg.startswith("/"):
-                            return self.cluster.router.route(arg)
-        return 0
-
-    @staticmethod
-    def _compile(program) -> list[_Unit]:
-        units: list[_Unit] = []
-        ordinal = 0
-        for item in program:
-            if isinstance(item, Txn):
-                for sub in item.items:
-                    if not isinstance(sub, (Call, ClientOp)):
-                        raise TypeError(f"unknown Txn item {sub!r}")
-                ords = list(range(ordinal, ordinal + len(item.items)))
-                ordinal += len(item.items)
-                units.append(_Unit(item, item.items, ords))
-            elif isinstance(item, (Call, ClientOp)):
-                units.append(_Unit(None, [item], [ordinal]))
-                ordinal += 1
-            else:
-                raise TypeError(f"unknown program item {item!r}")
-        return units
-
-    def _retire(self, session: ShardSession, state: str) -> None:
-        session.state = state
-        session.client.close()
-        self._event(state, session, session.error or "")
-
-    # -- the event loop --------------------------------------------------
-
-    def run(self, strict: bool = True) -> dict:
-        while True:
-            self._wake_sleepers()
-            if all(s.finished for s in self.sessions):
-                break
-            ready = [s for s in self.sessions if s.state == READY]
-            if ready:
-                self._run_slice(self._pick(ready))
-                continue
-            if not self._advance_to_next_sleeper():
-                raise SchedStalledError(
-                    "unfinished sessions but nothing runnable: "
-                    + ", ".join(f"{s.name}={s.state}" for s in self.sessions
-                                if not s.finished))
-        failed = [s for s in self.sessions if s.state == FAILED]
-        if strict and failed:
-            raise SessionFailedError(
-                "; ".join(f"{s.name}: {s.error}" for s in failed))
-        return self.fairness_report()
-
-    def _wake_sleepers(self) -> None:
-        for session in self.sessions:
-            if (session.state == SLEEPING
-                    and session.wake_time
-                    <= self.cluster.clock(session.home).now()):
-                session.state = READY
-                session.ready_since = self.cluster.clock(session.home).now()
-
-    def _advance_to_next_sleeper(self) -> bool:
-        """Advance one home clock to its soonest sleeper's wake time.
-        Returns False if no session is sleeping (the loop is stalled)."""
-        sleepers = [s for s in self.sessions if s.state == SLEEPING]
-        if not sleepers:
-            return False
-        target = min(sleepers,
-                     key=lambda s: (s.wake_time
-                                    - self.cluster.clock(s.home).now(),
-                                    s.sid))
-        clock = self.cluster.clock(target.home)
-        clock.advance(max(0.0, target.wake_time - clock.now()))
-        return True
-
-    def _pick(self, ready: list[ShardSession]) -> ShardSession:
-        """Starvation guard first (overdue on the home clock, oldest
-        wait wins), then the shard whose clock is furthest behind, then
-        a seeded lottery among that shard's ready sessions."""
-        overdue = [
-            s for s in ready
-            if (self.cluster.clock(s.home).now() - s.ready_since
-                >= self.fairness_bound)
-        ]
-        if overdue:
-            return min(overdue, key=lambda s: (s.ready_since, s.sid))
-        shards = sorted({s.home for s in ready},
-                        key=lambda i: (self.cluster.clock(i).now(), i))
-        pool = sorted((s for s in ready if s.home == shards[0]),
-                      key=lambda s: s.sid)
-        return pool[self.rng.randrange(len(pool))]
-
-    def _step_while_parked(self, shard: int, deadline: float) -> None:
-        """One scheduling step on behalf of a session parked on
-        ``shard``: run another ready session, else advance toward the
-        next sleeper, else burn the parked shard's clock straight to
-        the waiter's deadline."""
-        self._wake_sleepers()
-        ready = [s for s in self.sessions if s.state == READY]
-        if ready:
-            self._run_slice(self._pick(ready))
-            return
-        if self._advance_to_next_sleeper():
-            return
-        self.stats.idle_advances += 1
-        clock = self.cluster.clock(shard)
-        clock.advance(max(self.wait_quantum,
-                          deadline + self.wait_quantum - clock.now()))
-
-    # -- slices ----------------------------------------------------------
-
-    def _resolve(self, session: ShardSession, value):
-        if isinstance(value, Ref):
-            if value.ordinal not in session.values:
-                raise SchedStalledError(
-                    f"{session.name}: Ref({value.ordinal}) before its "
-                    f"request completed")
-            return session.values[value.ordinal]
-        return value
-
-    def _next_request(self, session: ShardSession):
-        """(label, thunk, ordinal) for the session's next request."""
-        unit = session.units[session.unit_idx]
-        client = session.client
-        if unit.txn is not None:
-            if session.phase == -1:
-                return "p_begin", client.p_begin, None
-            if session.phase == len(unit.items):
-                if unit.txn.abort:
-                    return "p_abort", client.p_abort, None
-                return "p_commit", client.p_commit, None
-            item = unit.items[session.phase]
-            ordinal = unit.ordinals[session.phase]
-        else:
-            item = unit.items[0]
-            ordinal = unit.ordinals[0]
-        if isinstance(item, ClientOp):
-            return item.label, (lambda: item.fn(client)), ordinal
-        args = tuple(self._resolve(session, a) for a in item.args)
-        kwargs = {k: self._resolve(session, v)
-                  for k, v in item.kwargs.items()}
-        method = getattr(client, item.method)
-        return item.method, (lambda: method(*args, **kwargs)), ordinal
-
-    def _run_slice(self, session: ShardSession) -> None:
-        unit = session.units[session.unit_idx]
-        label, thunk, ordinal = self._next_request(session)
-        self.stats.slices += 1
-        session.slices += 1
-        if self._last_ran is not session:
-            self.stats.context_switches += 1
-        self._last_ran = session
-        now = self.cluster.clock(session.home).now()
-        if session.state == READY:
-            waited = now - session.ready_since
-            if waited > session.max_ready_wait:
-                session.max_ready_wait = waited
-        session.state = RUNNING
-        self._running.append(session)
-        self._event("slice", session, label)
-        # Point every shard's per-xid accountant at this session's
-        # local transaction there (or at no one) — the single-server
-        # context switch, once per timeline.
-        for shard, db in enumerate(self.cluster.dbs):
-            db.obs.tx.activate(session.client.xid_on(shard))
-        try:
-            result = thunk()
-        except (DeadlockError, LockTimeoutError) as exc:
-            self._handle_victim(session, unit, exc)
-            return
-        finally:
-            self._running.pop()
-            if session.state == RUNNING:
-                session.state = READY
-                session.ready_since = self.cluster.clock(session.home).now()
-        if ordinal is not None:
-            session.values[ordinal] = result
-        self._advance_pc(session, unit)
-
-    def _advance_pc(self, session: ShardSession, unit: _Unit) -> None:
-        if unit.txn is None:
-            done_unit = True
-        elif session.phase == len(unit.items):
-            if self.commit_hook is not None and not unit.txn.abort:
-                self.commit_hook(session, unit.txn.tag)
-            done_unit = True
-        else:
-            session.phase += 1
-            done_unit = False
-        if done_unit:
-            unit.attempt = 0
-            session.unit_idx += 1
-            session.phase = -1
-            if session.unit_idx >= len(session.units):
-                self._retire(session, DONE)
-
-    def _handle_victim(self, session: ShardSession, unit: _Unit,
-                       exc) -> None:
-        """Deadlock-victim / lock-timeout recovery, cluster edition:
-        abort the open cluster transaction (every enlisted shard), back
-        off on the home clock, re-run the unit from its beginning."""
-        self._event("victim", session, type(exc).__name__)
-        if session.client.in_transaction():
-            try:
-                session.client.p_abort()
-            except Exception:
-                pass
-        for ordinal in unit.ordinals:
-            session.values.pop(ordinal, None)
-        session.phase = -1
-        unit.attempt += 1
-        if unit.attempt > self.max_retries:
-            session.error = (f"retry budget exhausted after "
-                             f"{self.max_retries} attempts: {exc}")
-            self._retire(session, FAILED)
-            return
-        self.stats.retries += 1
-        session.retries += 1
-        backoff = min(self.backoff_cap,
-                      self.backoff_base * (2 ** (unit.attempt - 1)))
-        self.stats.backoff_seconds.observe(backoff)
-        session.state = SLEEPING
-        session.wake_time = self.cluster.clock(session.home).now() + backoff
-        self._event("retry", session,
-                    f"attempt={unit.attempt} backoff={backoff:.6f}")
-
-    # -- tracing / reporting --------------------------------------------
-
-    def _event(self, kind: str, session: ShardSession,
-               detail: str = "") -> None:
-        self.trace.append((round(self.cluster.clock(session.home).now(), 9),
-                           session.home, kind, session.name, detail))
-
-    def trace_hash(self) -> str:
-        """SHA-256 over the event trace — the cluster determinism gate:
-        same seed, same programs, same shard count ⇒ same hash."""
-        blob = json.dumps(self.trace, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def fairness_report(self) -> dict:
-        rows = [s.report_row() for s in self.sessions]
-        max_ready_wait = max((r["max_ready_wait_s"] for r in rows),
-                             default=0.0)
-        max_park = max((r["max_park_s"] for r in rows), default=0.0)
-        return {
-            "seed": self.seed,
-            "nshards": self.cluster.nshards,
-            "sessions": rows,
-            "max_ready_wait_s": max_ready_wait,
-            "max_park_s": max_park,
-            "fairness_bound_s": self.fairness_bound,
-            "starved": max_ready_wait > self.fairness_bound
-            + self.wait_quantum,
-            "slices": self.stats.slices,
-            "context_switches": self.stats.context_switches,
-            "lock_parks": self.stats.lock_parks,
-            "retries": self.stats.retries,
-            "idle_advances": self.stats.idle_advances,
-        }
+        super().__init__(cluster.dbs, cluster.client, cluster.router.route,
+                         seed=seed, max_inflight=None, cluster_commits=False,
+                         wait_quantum=wait_quantum, backoff_base=backoff_base,
+                         backoff_cap=backoff_cap, max_retries=max_retries,
+                         fairness_bound=fairness_bound)

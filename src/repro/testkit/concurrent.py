@@ -7,7 +7,7 @@ a :class:`~repro.testkit.workload.Workload` whose ``sessions`` field
 holds one step list *per client* through the deterministic
 multi-session scheduler (:mod:`repro.sched`).  Each
 :class:`~repro.testkit.workload.TxStep` becomes a scheduler ``Txn`` of
-``Apply`` items running :func:`~repro.testkit.oracle.apply_fs_op`, so
+``ClientOp`` items running :func:`~repro.testkit.oracle.apply_fs_op`, so
 the crash explorer's model ops flow through real interleaved
 transactions — lock parks, deadlock-victim retries and group-commit
 batches included.
@@ -31,7 +31,7 @@ clients in flight.
 from __future__ import annotations
 
 from repro.core.server import InversionServer
-from repro.sched import Apply, MultiUserScheduler, Txn
+from repro.sched import ClientOp, MultiUserScheduler, Txn
 from repro.testkit.oracle import ModelFS, apply_fs_op
 from repro.testkit.workload import TxStep, Workload
 
@@ -67,14 +67,15 @@ class ConcurrentWorkloadRunner:
             if not isinstance(step, TxStep):
                 raise TypeError(
                     f"concurrent workloads take TxStep only, got {step!r}")
-            items = [Apply(op[0],
-                           lambda fs, tx, op=op: apply_fs_op(fs, tx, op))
+            items = [ClientOp(op[0],
+                              lambda c, op=op: apply_fs_op(c.fs, c.tx, op))
                      for op in step.ops]
             program.append(Txn(items, abort=step.abort, tag=step))
         return program
 
-    def _on_commit(self, session, step: TxStep, xid: int) -> None:
+    def _on_commit(self, session, step: TxStep) -> None:
         self._drain_floating()
+        xid = session.xid
         if xid in set(self.db.tm.pending_commit_xids()):
             self.floating.append((xid, step.ops))
         else:

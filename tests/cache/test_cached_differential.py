@@ -35,7 +35,7 @@ from repro.cache import session_cache_factory  # noqa: E402
 from repro.core.filesystem import InversionFS  # noqa: E402
 from repro.core.server import InversionServer  # noqa: E402
 from repro.db.database import Database  # noqa: E402
-from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn  # noqa: E402
+from repro.sched import Call, ClientOp, MultiUserScheduler, Ref, Txn  # noqa: E402
 from repro.sim.clock import SimClock  # noqa: E402
 from repro.testkit.concurrent import ConcurrentWorkloadRunner  # noqa: E402
 from repro.testkit.oracle import harvest_state  # noqa: E402
@@ -137,9 +137,9 @@ def _reader_program(rounds: int) -> list:
 
 
 def _writer_program(versions) -> list:
-    return [Txn([Apply(f"hot v{v}",
-                       lambda fs, tx, v=v: fs.write_file(
-                           tx, "/hot", bytes([48 + v]) * HOT_SIZE))],
+    return [Txn([ClientOp(f"hot v{v}",
+                          lambda c, v=v: c.fs.write_file(
+                              c.tx, "/hot", bytes([48 + v]) * HOT_SIZE))],
                 tag=f"v{v}") for v in versions]
 
 

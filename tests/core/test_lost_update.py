@@ -18,7 +18,7 @@ import pytest
 from repro.core.constants import O_RDWR
 from repro.core.filesystem import InversionFS
 from repro.db.database import Database
-from repro.sched import Apply, MultiUserScheduler, Txn
+from repro.sched import ClientOp, MultiUserScheduler, Txn
 from repro.sim.clock import SimClock
 
 
@@ -86,11 +86,11 @@ def test_scheduler_interleaved_different_length_overwrites(fs):
         sched = MultiUserScheduler(server, seed=seed)
         try:
             sched.add_session(
-                [Txn([Apply("long", lambda f, tx: f.write_file(
-                    tx, "/hot", b"L" * 5000))], tag="long")], name="a")
+                [Txn([ClientOp("long", lambda c: c.fs.write_file(
+                    c.tx, "/hot", b"L" * 5000))], tag="long")], name="a")
             sched.add_session(
-                [Txn([Apply("short", lambda f, tx: f.write_file(
-                    tx, "/hot", b"S" * 100))], tag="short")], name="b")
+                [Txn([ClientOp("short", lambda c: c.fs.write_file(
+                    c.tx, "/hot", b"S" * 100))], tag="short")], name="b")
             sched.run(strict=True)
         finally:
             sched.close()

@@ -104,3 +104,97 @@ def test_registry_reset_does_not_disturb_mirrors(tmp_path):
     assert db.obs.metrics.value("txn.commits_recorded") == before
     assert db.obs.metrics.get("device.writes").total() == 0  # pushed: cleared
     db.close()
+
+
+def _run_cluster(workdir, trace: bool):
+    """A 2-shard scheduled workload with lock parks, timeout-driven
+    retries and a 2PC commit; returns the scheduler trace hash, every
+    shard's clock and disk stats, each shard's span events, and the
+    fairness report."""
+    from repro.core.constants import O_RDWR
+    from repro.sched import Call, Ref, Txn
+    from repro.shard import ShardedCluster, ShardedScheduler
+
+    cluster = ShardedCluster.create(str(workdir), 2, policy="subtree",
+                                    assignments={"a": 0, "b": 1})
+    boot = cluster.client()
+    for path in ("/a", "/b"):
+        boot.p_mkdir(path)
+    for path in ("/a/h", "/b/h"):
+        fd = boot.p_creat(path)
+        boot.p_write(fd, b"hot")
+        boot.p_close(fd)
+    boot.close()
+    for db in cluster.dbs:
+        db.locks.timeout_s = 0.5
+        if trace:
+            db.obs.tracer.enable()
+
+    def xlock(path, base):
+        return [Call("p_open", path, O_RDWR),
+                Call("p_write", Ref(base), payload(base, path, 3000)),
+                Call("p_close", Ref(base))]
+
+    with ShardedScheduler(cluster, seed=3, max_retries=20) as sched:
+        # opposite lock orders across shards: a cycle only the lock
+        # timeout breaks, so sessions park and retry.
+        sched.add_session([Txn(xlock("/a/h", 0) + xlock("/b/h", 3))],
+                          name="ab", home=0)
+        sched.add_session([Txn(xlock("/b/h", 0) + xlock("/a/h", 3))],
+                          name="ba", home=1)
+        for i in range(2):
+            # one file on each shard in one transaction: a 2PC commit.
+            sched.add_session([Txn([Call("p_creat", f"/a/w{i}"),
+                                    Call("p_write", Ref(0), b"w" * 900),
+                                    Call("p_close", Ref(0)),
+                                    Call("p_creat", f"/b/w{i}"),
+                                    Call("p_write", Ref(3), b"v" * 900),
+                                    Call("p_close", Ref(3))])],
+                              name=f"w{i}", home=i)
+        report = sched.run()
+        trace_hash = sched.trace_hash()
+    events = []
+    for db in cluster.dbs:
+        events.append(list(db.obs.tracer.events()))
+        db.obs.tracer.disable()
+    clocks = [db.clock.now() for db in cluster.dbs]
+    stats = [vars(db.switch.get(db.switch.default_name).disk.stats).copy()
+             for db in cluster.dbs]
+    cross = cluster.stats.cross_shard_txns
+    cluster.close()
+    return trace_hash, clocks, stats, events, report, cross
+
+
+def test_cluster_scheduler_tracing_is_invisible_and_per_session(tmp_path):
+    plain = _run_cluster(tmp_path / "plain", trace=False)
+    traced = _run_cluster(tmp_path / "traced", trace=True)
+    hash_p, clocks_p, stats_p, events_p, report, cross = plain
+    hash_t, clocks_t, stats_t, events_t, _, _ = traced
+    assert report["lock_parks"] > 0 and report["retries"] > 0
+    assert cross > 0                        # a 2PC commit ran
+    assert events_p == [[], []]
+    assert all(events_t)                    # tracing ran on both shards
+    assert hash_t == hash_p
+    assert clocks_t == clocks_p             # == , not approx
+    assert stats_t == stats_p
+
+    # Each session's spans form their own trees: every slice is a root
+    # (a slice run while another session was parked is not nested
+    # under that session's park span), every other span descends from
+    # one slice, and each server connection serves one session only.
+    names = {row["name"] for row in report["sessions"]}
+    for events in events_t:
+        by_id = {e["span"]: e for e in events}
+        owner_of_conn = {}
+        for event in events:
+            root = event
+            while root["parent"] is not None:
+                root = by_id[root["parent"]]
+            assert root["name"] == "sched.slice", event
+            if event["name"] == "sched.slice":
+                assert event["parent"] is None
+            assert root["session"] in names
+            if event["name"] == "rpc.dispatch":
+                owner = owner_of_conn.setdefault(event["session"],
+                                                 root["session"])
+                assert owner == root["session"], event

@@ -51,6 +51,19 @@ def test_vacuum_failover_replays_rename_journal(tmp_path):
     _assert_clean(explorer.explore(max_points=4))
 
 
+@pytest.mark.parametrize("point", [51, 97])
+def test_followers_resume_after_promotion_mid_vacuum_swap(tmp_path, point):
+    """Crashes that leave vacuum's rename journal half-replayed: the
+    renames promotion finishes must reach the new feed, or a follower
+    resumes against the pre-swap relation ("page N out of range")."""
+    explorer = FailoverCrashExplorer(str(tmp_path), vacuum_workload(),
+                                     nreplicas=2)
+    result = explorer.run_crash_point(point)
+    assert not result.completed, "the crash point no longer fires"
+    assert result.followers_converged, result.detail
+    assert result.ok, result.detail
+
+
 @pytest.mark.torture
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
 def test_exhaustive_commit_failover(tmp_path, torn):

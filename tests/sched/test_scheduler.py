@@ -12,14 +12,14 @@ import pytest
 
 from repro.core.server import InversionServer
 from repro.errors import SchedAdmissionError, SessionFailedError
-from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
+from repro.sched import Call, ClientOp, MultiUserScheduler, Ref, Txn
 from repro.sched.scheduler import DONE, FAILED
 
 
-def _write(path: str, data: bytes) -> Apply:
-    return Apply(f"write {path}",
-                 lambda fs, tx, path=path, data=data:
-                 fs.write_file(tx, path, data))
+def _write(path: str, data: bytes) -> ClientOp:
+    return ClientOp(f"write {path}",
+                    lambda c, path=path, data=data:
+                    c.fs.write_file(c.tx, path, data))
 
 
 def _disjoint_programs(nclients: int, ntxns: int = 3) -> list[list[Txn]]:
@@ -94,8 +94,8 @@ class TestAdmission:
             a = sched.add_session(programs[0], name="a")
             b = sched.add_session(programs[1], name="b")
             queued = sched.add_session(programs[2], name="q")
-            assert a.conn is not None and b.conn is not None
-            assert queued.conn is None          # waiting in the queue
+            assert a.client is not None and b.client is not None
+            assert queued.client is None        # waiting in the queue
             assert sched.stats.admission_waits == 1
             with pytest.raises(SchedAdmissionError):
                 sched.add_session(programs[3], name="refused")
@@ -121,7 +121,7 @@ class TestAdmission:
             sched.run()
         finally:
             sched.close()
-        admits = [s for (_, kind, s, _) in sched.trace if kind == "admit"]
+        admits = [s for (_, _, kind, s, _) in sched.trace if kind == "admit"]
         assert admits == [f"s{i}" for i in range(5)]
 
 
@@ -260,8 +260,8 @@ class TestPrograms:
         server = InversionServer(fs)
         sched = MultiUserScheduler(server, seed=4)
         committed = []
-        sched.commit_hook = lambda session, tag, xid: committed.append(
-            (tag, xid))
+        sched.commit_hook = lambda session, tag: committed.append(
+            (tag, session.xid))
         try:
             for i, program in enumerate(_disjoint_programs(3, ntxns=2)):
                 sched.add_session(program, name=f"s{i}")

@@ -90,7 +90,7 @@ def test_scheduler_teardown_keeps_prepared_transaction(tmp_path):
     db, fs, server = _server(tmp_path)
     sched = MultiUserScheduler(server, seed=1)
     session = sched.add_session([], name="party")  # admitted, no work
-    conn = session.conn
+    conn = session.client.conn
     server.dispatch(conn, "p_begin")
     fd = server.dispatch(conn, "p_creat", "/g")
     server.dispatch(conn, "p_write", fd, b"vote")

@@ -10,9 +10,9 @@ one instant of the interleaving."""
 import pytest
 
 from repro.core.constants import O_RDWR
-from repro.errors import FileNotFoundError_
-from repro.sched.scheduler import Call, Ref, Txn
-from repro.shard import ClientOp, ShardedCluster, ShardedScheduler
+from repro.errors import FileNotFoundError_, LockTimeoutError
+from repro.sched import Call, ClientOp, Ref, Txn
+from repro.shard import ShardedCluster, ShardedScheduler
 from repro.testkit.workload import payload
 
 
@@ -197,3 +197,55 @@ def test_victim_retry_preserves_effects_exactly_once(tmp_path):
         check.p_close(fd)
     check.close()
     cluster.close()
+
+
+def test_parked_waiter_times_out_at_its_deadline_not_a_sleepers_wake(
+        tmp_path):
+    """A waiter parked on shard 0 while the only other shard-0 session
+    sleeps in backoff past the waiter's deadline: with nothing runnable
+    the loop may advance shard 0's clock only to the deadline, so the
+    waiter times out there — not at the sleeper's wake time."""
+    cluster = _mkcluster(tmp_path)
+    seed_client = cluster.client()
+    _write(seed_client, "/a/x", b"x")
+    seed_client.close()
+    timeout = 0.5
+    for db in cluster.dbs:
+        db.locks.timeout_s = timeout
+    # An unscheduled transaction holds /a/x's exclusive lock all run.
+    holder = cluster.client()
+    holder.p_begin()
+    fd = holder.p_open("/a/x", O_RDWR)
+    holder.p_write(fd, b"h")
+    attempts = []
+
+    def give_up_once(client):
+        attempts.append(len(attempts))
+        if len(attempts) == 1:
+            raise LockTimeoutError("back off")
+
+    backoff = 3.0
+    with ShardedScheduler(cluster, seed=0, max_retries=1,
+                          backoff_base=backoff, backoff_cap=backoff) as sched:
+        sched.add_session([Txn([ClientOp("give up once", give_up_once)])],
+                          name="sleeper", home=0)
+        sched.add_session([Txn([Call("p_open", "/a/x", O_RDWR),
+                                Call("p_write", Ref(0), b"w"),
+                                Call("p_close", Ref(0))])],
+                          name="waiter", home=0)
+        report = sched.run(strict=False)
+        trace = sched.trace
+    holder.p_abort()
+    holder.close()
+    cluster.close()
+
+    def times(kind, name):
+        return [t for (t, _home, k, s, _d) in trace if k == kind and s == name]
+
+    wake = times("retry", "sleeper")[0] + backoff
+    park = times("park", "waiter")[0]
+    victim = times("victim", "waiter")[0]
+    assert park < wake, "the waiter parked after the sleeper woke"
+    assert park + timeout < wake, "the deadline is not before the wake"
+    assert victim == pytest.approx(park + timeout, abs=1e-9)
+    assert [r["state"] for r in report["sessions"]] == ["done", "failed"]
